@@ -185,6 +185,9 @@ class _Simplifier:
         self.sigs: list[int] = []  # cached subsumption signatures, per index
         self.touched: list[int] = []  # clauses new/changed since last subsumption
         self.occurs: dict[int, set[int]] = {}
+        # Variables whose clauses changed since elimination last checked
+        # them; a clean variable's elimination verdict cannot change.
+        self.dirty = bytearray(formula.num_variables + 1)
         self.fixed: dict[int, bool] = {}
         self.unit_queue: list[int] = []
         self.records: list[tuple] = []
@@ -208,8 +211,10 @@ class _Simplifier:
         self.clauses.append(literals)
         self.sigs.append(_signature(literals))
         self.touched.append(index)
+        dirty = self.dirty
         for literal in literals:
             self.occurs.setdefault(literal, set()).add(index)
+            dirty[abs(literal)] = 1
         return index
 
     def _remove_clause(self, index: int) -> None:
@@ -217,14 +222,21 @@ class _Simplifier:
         if literals is None:
             return
         self.clauses[index] = None
+        dirty = self.dirty
         for literal in literals:
+            dirty[abs(literal)] = 1
             bucket = self.occurs.get(literal)
             if bucket is not None:
                 bucket.discard(index)
 
     def _unlink_literal(self, index: int, literal: int) -> None:
-        self.clauses[index].discard(literal)
-        self.sigs[index] = _signature(self.clauses[index])
+        clause = self.clauses[index]
+        clause.discard(literal)
+        self.sigs[index] = _signature(clause)
+        dirty = self.dirty
+        dirty[abs(literal)] = 1
+        for other in clause:
+            dirty[abs(other)] = 1
         bucket = self.occurs.get(literal)
         if bucket is not None:
             bucket.discard(index)
@@ -489,6 +501,7 @@ class _Simplifier:
                 else:
                     clause.add(new_literal)
                     self.sigs[index] = _signature(clause)
+                    self.dirty[abs(new_literal)] = 1
                     self.occurs.setdefault(new_literal, set()).add(index)
                 if proof is not None:
                     # RUP through the equivalence binary lit -> new_literal
@@ -505,9 +518,14 @@ class _Simplifier:
 
     def eliminate_variables(self, occurrence_limit: int) -> bool:
         """One NiVER sweep; pure literals fall out as the zero-resolvent
-        case.  Returns True when any variable was eliminated."""
+        case.  Only variables whose clauses changed since their last check
+        are evaluated.  Returns True when any variable was eliminated."""
         changed = False
+        dirty = self.dirty
         for variable in range(1, self.num_variables + 1):
+            if not dirty[variable]:
+                continue
+            dirty[variable] = 0
             if variable in self.frozen or variable in self.fixed:
                 continue
             pos = self.occurs.get(variable, set())

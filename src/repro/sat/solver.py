@@ -52,6 +52,18 @@ encoded in-band as negative values (``reason = -other_literal - 1``), and
 a binary conflict is materialized into a fixed two-literal scratch slot of
 the arena (``cref == 1``) for conflict analysis to consume.
 
+The VSIDS order heap is a ``heapq`` of ``(-activity, variable)`` entries
+that holds one invariant: every free in-use variable has exactly one
+*live* entry, keyed at its current activity, and :attr:`CdclSolver.in_heap`
+flags the variables that have one.  Bumping a free variable pushes its new
+key; bumping an assigned one only clears its flag, and backtracking pushes
+a freed variable only when its flag is clear.  Activities only grow
+between rescales, so a variable's older entries rank below its live one:
+the first free variable popped is the argmax of (activity, lowest index),
+and popping any entry clears its variable's flag.  An activity rescale
+rebuilds the heap from the free in-use variables, so no pre-rescale key
+outranks a later bump.
+
 Literals are DIMACS integers at the API boundary and are encoded internally
 as ``2*v`` (positive) / ``2*v + 1`` (negative) for array indexing.
 """
@@ -253,6 +265,7 @@ class CdclSolver:
         # search space at the simplified instance's true size.
         self.in_use = bytearray(n + 1)
         self.order_heap: list[tuple[float, int]] = []
+        self.in_heap = bytearray(n + 1)       # 1 = live order-heap entry
         # Arena cell 0 is a sentinel ("no reason"); cells 1..3 are the
         # scratch clause binary conflicts are materialized into.
         self.db: list[int] = [0, 2 << 1, 0, 0]
@@ -334,7 +347,9 @@ class CdclSolver:
         variable = encoded >> 1
         if not self.in_use[variable]:
             self.in_use[variable] = 1
-            heapq.heappush(self.order_heap, (-self.activity[variable], variable))
+            if not self.in_heap[variable]:
+                self.in_heap[variable] = 1
+                heapq.heappush(self.order_heap, (-self.activity[variable], variable))
 
     def _watch(self, cref: int, lit0: int, lit1: int) -> None:
         watch = self.watches[lit0]
@@ -503,12 +518,31 @@ class CdclSolver:
     # -- branching ------------------------------------------------------------------
 
     def _bump_variable(self, variable: int) -> None:
-        self.activity[variable] += self.var_inc
-        if self.activity[variable] > _ACTIVITY_RESCALE:
+        activity = self.activity
+        activity[variable] += self.var_inc
+        if activity[variable] > _ACTIVITY_RESCALE:
             for v in range(1, self.num_vars + 1):
-                self.activity[v] *= 1e-100
+                activity[v] *= 1e-100
             self.var_inc *= 1e-100
-        heapq.heappush(self.order_heap, (-self.activity[variable], variable))
+            self._rebuild_order_heap()
+        elif self.assign[variable << 1] == _FREE:
+            heapq.heappush(self.order_heap, (-activity[variable], variable))
+            self.in_heap[variable] = 1
+        else:
+            # The old key is stale now; backtracking pushes the new one.
+            self.in_heap[variable] = 0
+
+    def _rebuild_order_heap(self) -> None:
+        assign = self.assign
+        in_use = self.in_use
+        in_heap = self.in_heap = bytearray(self.num_vars + 1)
+        heap = []
+        for v in range(1, self.num_vars + 1):
+            if in_use[v] and assign[v << 1] == _FREE:
+                heap.append((-self.activity[v], v))
+                in_heap[v] = 1
+        heapq.heapify(heap)
+        self.order_heap = heap
 
     def _decay_activities(self) -> None:
         self.var_inc /= self.activity_decay
@@ -521,12 +555,11 @@ class CdclSolver:
                 variable = self._rng.randint(1, self.num_vars)
                 if self.assign[variable << 1] == _FREE and self.in_use[variable]:
                     return variable
-        while self.order_heap:
-            _, variable = heapq.heappop(self.order_heap)
+        heap = self.order_heap
+        while heap:
+            variable = heapq.heappop(heap)[1]
+            self.in_heap[variable] = 0
             if self.assign[variable << 1] == _FREE:
-                return variable
-        for variable in range(1, self.num_vars + 1):
-            if self.assign[variable << 1] == _FREE and self.in_use[variable]:
                 return variable
         return None
 
@@ -641,13 +674,18 @@ class CdclSolver:
             return
         boundary = self.trail_lim[target_level]
         assign = self.assign
+        reason = self.reason
+        saved_phase = self.saved_phase
+        in_heap = self.in_heap
         for encoded in reversed(self.trail[boundary:]):
             variable = encoded >> 1
             assign[encoded] = _FREE
             assign[encoded ^ 1] = _FREE
-            self.reason[variable] = 0
-            self.saved_phase[variable] = (encoded & 1) == 0
-            heapq.heappush(self.order_heap, (-self.activity[variable], variable))
+            reason[variable] = 0
+            saved_phase[variable] = (encoded & 1) == 0
+            if not in_heap[variable]:
+                in_heap[variable] = 1
+                heapq.heappush(self.order_heap, (-self.activity[variable], variable))
         del self.trail[boundary:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)

@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.core import FermihedralConfig, SolverBudget, descend
+from repro.core import FermihedralCompiler, FermihedralConfig, SolverBudget, descend
+from repro.core.baselines import best_baseline
+from repro.core.descent import build_base_formula, measured_weight
 from repro.core.verify import verify_encoding
 from repro.encodings import bravyi_kitaev, jordan_wigner
 from repro.fermion import hubbard_chain
+from repro.sat.preprocess import preprocess
 
 
 class TestHamiltonianIndependent:
@@ -144,3 +147,30 @@ class TestPreprocessing:
         simplified = descend(2, config)
         assert simplified.weight == plain.weight
         assert simplified.proved_optimal == plain.proved_optimal
+
+
+class TestSearchTrajectoryPin:
+    """Hot-path changes must not move the search: these values were
+    measured before the order-heap and dirty-BVE rewrites and must hold
+    bit for bit."""
+
+    def test_indep3_rungs_and_indep4_preprocess_are_pinned(self):
+        result = FermihedralCompiler(3, FermihedralConfig(proof=True)).compile(
+            method="independent"
+        )
+        rungs = tuple((s.bound, s.status, s.conflicts) for s in result.descent.steps)
+        assert rungs == ((11, "SAT", 26), (10, "UNSAT", 504))
+        assert result.proof["drat_lines"] == 2568
+
+        # The 4-mode instance exactly as the descent preprocesses it.
+        config = FermihedralConfig()
+        encoder, indicators = build_base_formula(4, config)
+        start = measured_weight(best_baseline(4, config), None, None)
+        selectors = encoder.weight_ladder(indicators, start - 1)
+        frozen = set(encoder.all_string_variables())
+        frozen.update(abs(selector) for selector in selectors)
+        stats = preprocess(encoder.formula, frozen=frozen).stats
+        assert stats.summary() == (
+            "10625 -> 10323 clauses (28 fixed, 306 eliminated, 29 substituted, "
+            "4 subsumed, 2 strengthened, 4 rounds)"
+        )

@@ -4,6 +4,7 @@ frozen-variable contract (assumptions and late clause additions keep
 their meaning on the simplified instance)."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from repro.sat import (
     evaluate_formula,
     preprocess,
 )
+from repro.sat.preprocess import _Simplifier
 
 
 def _random_formula(seed: int, num_vars: int, num_clauses: int) -> CnfFormula:
@@ -150,6 +152,71 @@ class TestFrozenContract:
             if evaluate_formula(formula, assignment):
                 expected.add(tuple(assignment[v] for v in frozen))
         assert seen == expected
+
+
+def _preprocess_full_sweeps(formula, **kwargs):
+    """``preprocess`` with every variable re-checked by every elimination
+    sweep, the behaviour before dirty tracking."""
+    sweep = _Simplifier.eliminate_variables
+
+    def full_sweep(self, occurrence_limit):
+        self.dirty[:] = b"\x01" * len(self.dirty)
+        return sweep(self, occurrence_limit)
+
+    with mock.patch.object(_Simplifier, "eliminate_variables", full_sweep):
+        return preprocess(formula, **kwargs)
+
+
+class TestDirtyElimination:
+    """Elimination only re-checks variables whose clauses changed; the
+    result must be exactly what full sweeps produce."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(3, 12), st.integers(1, 50),
+           st.data())
+    def test_matches_full_sweeps(self, seed, num_vars, num_clauses, data):
+        formula = _random_formula(seed, num_vars, num_clauses)
+        frozen = data.draw(st.sets(st.integers(1, num_vars), max_size=3))
+        dirty = preprocess(formula, frozen=frozen)
+        full = _preprocess_full_sweeps(formula, frozen=frozen)
+        assert list(dirty.formula.clauses()) == list(full.formula.clauses())
+        assert dirty._records == full._records
+        assert dirty.stats == full.stats
+
+    # In each CNF, x = 2 survives round 1 (3 x 2 non-tautological
+    # resolvents outnumber its 5 clauses).  One round-2 change to x's
+    # clauses then makes it eliminable, and nothing else touches them, so
+    # x is eliminated only if that change marks it dirty.  Variables from
+    # 3 on are frozen.
+    @pytest.mark.parametrize("clauses", [
+        # Self-subsuming strengthening: eliminating 1 in round 1 yields
+        # (3 4 -2), which strengthens (3 4 2 5) to (3 4 5).
+        [(1, 3), (-1, 4, -2), (3, 4, 2, 5), (2, 6, 7), (2, 8, 9), (-2, 10, 11)],
+        # Subsumption: eliminating 1 in round 1 yields (3 4), which
+        # subsumes (3 4 2).
+        [(1, 3), (-1, 4), (3, 4, 2), (2, 6, 7), (2, 8, 9), (-2, 10, 11),
+         (-2, 5, 6)],
+        # Substitution: round 1 strengthens (-1 3 -4) to (-1 3), so round 2
+        # substitutes 1 := 3, and (3 2 5) resolves tautologically with
+        # (-2 -3 10).
+        [(-1, 3, 4), (-1, 3, -4), (1, -3), (1, 2, 5), (1, 13, 14),
+         (1, 15, 16), (-1, 17, 18), (2, 6, 7), (2, 8, 9), (-2, -3, 10),
+         (-2, 11, 12)],
+    ], ids=["strengthening", "subsumption", "substitution"])
+    def test_round_two_change_reopens_elimination(self, clauses):
+        formula = CnfFormula()
+        formula.new_variables(max(abs(lit) for clause in clauses for lit in clause))
+        formula.add_clauses(clauses)
+        frozen = range(3, formula.num_variables + 1)
+
+        def eliminated(result):
+            return [variable for kind, variable, _ in result._records
+                    if kind == "elim"]
+
+        assert 2 not in eliminated(preprocess(formula, frozen=frozen, max_rounds=1))
+        simplified = preprocess(formula, frozen=frozen)
+        assert 2 in eliminated(simplified)
+        assert simplified.stats == _preprocess_full_sweeps(formula, frozen=frozen).stats
 
 
 class TestStats:

@@ -5,6 +5,7 @@ structure in Fermihedral instances), restart/reduction paths, model
 validity on Tseitin-heavy formulas, and budget semantics.
 """
 
+import copy
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat import (
+    CdclSolver,
     CnfFormula,
     add_at_most_k,
     dpll_solve,
@@ -19,6 +21,7 @@ from repro.sat import (
     evaluate_formula,
     solve_formula,
 )
+from tests.sat.test_solver_fuzz import _random_instance
 
 
 def _xor_chain_formula(num_vars: int, parity: int, seed: int) -> CnfFormula:
@@ -146,3 +149,76 @@ class TestSolverInternals:
         result = solve_formula(formula)
         assert set(result.model) == {1, 2, 3, 4, 5}
         assert result.model[3] is True
+
+    def test_activity_rescale_keeps_branching_on_the_most_active(self):
+        formula = CnfFormula()
+        a, b = formula.new_variables(2)
+        formula.add_clause((a, b))
+        solver = CdclSolver(formula)
+        rescaled = False
+        while not rescaled:
+            solver._decay_activities()
+            before = solver.activity[a]
+            solver._bump_variable(a)
+            rescaled = solver.activity[a] < before
+        while solver.activity[b] <= solver.activity[a]:
+            solver._bump_variable(b)
+        # a's pre-rescale key must not outrank b's later, larger activity.
+        assert solver._pick_branch_variable() == b
+
+
+def _check_order_heap(solver: CdclSolver) -> None:
+    """One live entry per flagged variable, one for every free in-use
+    variable, and branching picks the argmax of (activity, -index)."""
+    activity = solver.activity
+    live = [v for key, v in solver.order_heap if key == -activity[v]]
+    assert len(live) == len(set(live))
+    assert sum(solver.in_heap) == len(live)
+    assert all(solver.in_heap[v] for v in live)
+    free = [
+        v for v in range(1, solver.num_vars + 1)
+        if solver.in_use[v] and solver.assign[v << 1] == 0
+    ]
+    assert set(free) <= set(live)
+    expected = max(free, key=lambda v: (activity[v], -v), default=None)
+    # Picking pops the heap; check on a copy so the run can continue.
+    assert copy.deepcopy(solver)._pick_branch_variable() == expected
+
+
+class TestOrderHeapInvariant:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.95, 0.5, 0.1]))
+    def test_incremental_calls_keep_the_heap_invariant(self, seed, decay):
+        # Four fuzz instances side by side, chained by binaries; units
+        # are dropped so most calls search instead of failing at the root.
+        rng = random.Random(seed)
+        num_vars, clauses = 0, []
+        for _ in range(4):
+            more_vars, more, _ = _random_instance(rng)
+            clauses += [
+                tuple(lit + num_vars if lit > 0 else lit - num_vars for lit in c)
+                for c in more if len(c) > 1
+            ]
+            if num_vars:
+                clauses.append((rng.randint(1, num_vars),
+                                rng.randint(1, more_vars) + num_vars))
+            num_vars += more_vars
+        formula = CnfFormula()
+        formula.new_variables(num_vars)
+        formula.add_clauses(clauses)
+        solver = CdclSolver(formula, activity_decay=decay)
+        _check_order_heap(solver)
+        for _ in range(8):
+            if rng.random() < 0.3:
+                solver.var_inc = 1e101  # the next bump rescales
+            used = [v for v in range(1, num_vars + 1) if solver.in_use[v]]
+            assumptions = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(used, min(len(used), rng.randint(0, 6)))
+            ]
+            solver.solve(max_conflicts=rng.randint(1, 20), assumptions=assumptions)
+            _check_order_heap(solver)
+            solver.add_clause(
+                rng.choice((-1, 1)) * rng.randint(1, num_vars) for _ in range(3)
+            )
+            _check_order_heap(solver)
